@@ -378,13 +378,15 @@ fn render_op(op: &RecordedOp, pop: &POp) -> String {
     )
 }
 
+/// Renders a value for a report: its lossy UTF-8 form, cut to at most 24
+/// bytes on a char boundary (binary values decode to multi-byte U+FFFD).
 fn preview(v: &[u8]) -> String {
     const MAX: usize = 24;
     let s = String::from_utf8_lossy(v);
     if s.len() <= MAX {
         format!("{s:?}")
     } else {
-        format!("{:?}…", &s[..MAX])
+        format!("{:?}…", &s[..s.floor_char_boundary(MAX)])
     }
 }
 
@@ -629,6 +631,16 @@ mod tests {
             },
         );
         assert!(matches!(verdict, Verdict::Indeterminate { .. }));
+    }
+
+    #[test]
+    fn preview_cuts_binary_values_on_a_char_boundary() {
+        // 23 ASCII bytes, then an invalid byte whose lossy form (U+FFFD,
+        // three bytes) straddles byte 24.
+        let mut v = b"abcdefghijklmnopqrstuvw".to_vec();
+        v.extend_from_slice(&[0xFF, 0xFE, b'z']);
+        assert_eq!(preview(&v), "\"abcdefghijklmnopqrstuvw\"…");
+        assert_eq!(preview(b"short"), "\"short\"");
     }
 
     #[test]

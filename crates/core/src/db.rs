@@ -430,10 +430,7 @@ impl MioDb {
 
         // Resume an interrupted lazy-copy drain synchronously.
         if let Some(t) = resumed_drain {
-            let merged = dedup_newest(t.list.iter(), false);
-            for e in merged {
-                repo.apply(&e.key, &e.value, e.seq, e.kind)?;
-            }
+            repo.ingest_run(dedup_newest(t.list.iter(), false))?;
             if let Ok(table) = Arc::try_unwrap(t) {
                 elastic_bytes -= table.arena_bytes();
                 table.release(&nvm);
@@ -1976,19 +1973,9 @@ fn lazy_worker(inner: Arc<Inner>) {
             if fault::hit(fault::points::ENGINE_LAZY).is_some() {
                 return Err(Error::Background("injected lazy-copy failure".to_string()));
             }
-            let merged = dedup_newest(table.list.iter(), false);
-            match &inner.repo {
-                Repository::Pm(_) => {
-                    for e in merged {
-                        inner.repo.apply(&e.key, &e.value, e.seq, e.kind)?;
-                    }
-                }
-                Repository::Lsm(_) => {
-                    let entries: Vec<OwnedEntry> = merged.collect();
-                    inner.repo.ingest_run(entries.into_iter())?;
-                }
-            }
-            Ok(())
+            inner
+                .repo
+                .ingest_run(dedup_newest(table.list.iter(), false))
         });
         if let Err(e) = drained {
             set_bg_error(&inner, format!("lazy-copy failed: {e}"));

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use miodb_common::{OpKind, Result, SequenceNumber, Stats};
+use miodb_common::{Result, Stats};
 use miodb_lsm::{LsmCore, LsmOptions};
 use miodb_pmem::{DeviceModel, PmemPool};
 use miodb_skiplist::iter::OwnedEntry;
@@ -46,52 +46,17 @@ impl Repository {
         Repository::Lsm(Box::new(LsmCore::new(store, lsm)))
     }
 
-    /// Applies one entry from a lazy-copy drain. For the LSM repository
-    /// callers should batch with [`Repository::ingest_run`] instead.
+    /// Drains a sorted run (ascending keys, newest version first) into the
+    /// repository: the PM repository applies it with one finger-searched
+    /// pass, the LSM repository serializes it into tables.
     ///
     /// # Errors
     ///
     /// Propagates allocation/build failures.
-    pub fn apply(&self, key: &[u8], value: &[u8], seq: SequenceNumber, kind: OpKind) -> Result<()> {
+    pub fn ingest_run(&self, entries: impl Iterator<Item = OwnedEntry>) -> Result<()> {
         match self {
-            Repository::Pm(r) => {
-                r.apply(key, value, seq, kind)?;
-                Ok(())
-            }
-            Repository::Lsm(c) => {
-                let e = OwnedEntry {
-                    key: key.to_vec(),
-                    value: value.to_vec(),
-                    seq,
-                    kind,
-                };
-                c.ingest_sorted_run(std::iter::once(e))?;
-                Ok(())
-            }
-        }
-    }
-
-    /// Drains a whole sorted run into the repository (preferred for the
-    /// LSM mode: one serialized table instead of per-entry ingestion).
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation/build failures.
-    pub fn ingest_run(
-        &self,
-        entries: impl Iterator<Item = OwnedEntry> + Send + 'static,
-    ) -> Result<()> {
-        match self {
-            Repository::Pm(r) => {
-                for e in entries {
-                    r.apply(&e.key, &e.value, e.seq, e.kind)?;
-                }
-                Ok(())
-            }
-            Repository::Lsm(c) => {
-                c.ingest_sorted_run(entries)?;
-                Ok(())
-            }
+            Repository::Pm(r) => r.apply_run(entries),
+            Repository::Lsm(c) => c.ingest_sorted_run(entries).map(drop),
         }
     }
 
@@ -157,16 +122,27 @@ impl Repository {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miodb_common::Stats;
+    use miodb_common::{OpKind, SequenceNumber, Stats};
+
+    fn entry(key: &[u8], value: &[u8], seq: SequenceNumber, kind: OpKind) -> OwnedEntry {
+        OwnedEntry {
+            key: key.to_vec(),
+            value: value.to_vec(),
+            seq,
+            kind,
+        }
+    }
 
     #[test]
     fn pm_repository_round_trip() {
         let stats = Arc::new(Stats::new());
         let nvm = PmemPool::new(16 << 20, DeviceModel::nvm_unthrottled(), stats).unwrap();
         let repo = Repository::new_pm(nvm, 256 * 1024).unwrap();
-        repo.apply(b"k", b"v", 1, OpKind::Put).unwrap();
+        repo.ingest_run([entry(b"k", b"v", 1, OpKind::Put)].into_iter())
+            .unwrap();
         assert_eq!(repo.get(b"k").unwrap().unwrap().value, b"v");
-        repo.apply(b"k", b"", 2, OpKind::Delete).unwrap();
+        repo.ingest_run([entry(b"k", b"", 2, OpKind::Delete)].into_iter())
+            .unwrap();
         assert!(repo.get(b"k").unwrap().is_none());
         assert!(repo.is_quiescent());
     }
@@ -203,8 +179,10 @@ mod tests {
         let stats = Arc::new(Stats::new());
         let repo =
             Repository::new_lsm(LsmOptions::default(), DeviceModel::ssd_unthrottled(), stats);
-        repo.apply(b"k", b"v", 1, OpKind::Put).unwrap();
-        repo.apply(b"k", b"", 2, OpKind::Delete).unwrap();
+        repo.ingest_run([entry(b"k", b"v", 1, OpKind::Put)].into_iter())
+            .unwrap();
+        repo.ingest_run([entry(b"k", b"", 2, OpKind::Delete)].into_iter())
+            .unwrap();
         let r = repo.get(b"k").unwrap().unwrap();
         assert_eq!(r.kind, OpKind::Delete);
     }

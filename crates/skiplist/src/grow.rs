@@ -22,7 +22,10 @@ use miodb_common::{Error, OpKind, Result, SequenceNumber};
 use miodb_pmem::{PmemPool, PmemRegion};
 use parking_lot::Mutex;
 
-use crate::node::{self, find_preds, node_size, raw, LookupResult, SkipList, MAX_HEIGHT};
+use crate::iter::OwnedEntry;
+use crate::node::{
+    self, find_preds, find_preds_from, node_size, raw, LookupResult, SkipList, MAX_HEIGHT,
+};
 
 /// What [`GrowableSkipList::apply`] did with an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,15 +252,63 @@ impl GrowableSkipList {
         seq: SequenceNumber,
         kind: OpKind,
     ) -> Result<ApplyOutcome> {
-        let pool = &*self.pool;
         let mut preds = [0u64; MAX_HEIGHT];
-        let existing = find_preds(
-            pool,
+        find_preds(
+            &self.pool,
             self.head,
             key,
             miodb_common::MAX_SEQUENCE_NUMBER,
             &mut preds,
         );
+        self.apply_at(&mut preds, key, value, seq, kind)
+    }
+
+    /// Applies a run of entries, as [`GrowableSkipList::apply`] does one by
+    /// one. A lazy-copy drain delivers its entries in ascending key order,
+    /// so each entry's position is found by a finger search forward from
+    /// the previous entry's; an entry whose key is not strictly after the
+    /// previous one falls back to a descent from the head.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::PoolExhausted`] if a new chunk cannot be allocated;
+    /// the entries before the failing one stay applied.
+    pub fn apply_run(&self, entries: impl IntoIterator<Item = OwnedEntry>) -> Result<()> {
+        let pool = &*self.pool;
+        let max_seq = miodb_common::MAX_SEQUENCE_NUMBER;
+        let mut finger = [0u64; MAX_HEIGHT];
+        let mut last: Option<Vec<u8>> = None;
+        for e in entries {
+            let mut preds = [0u64; MAX_HEIGHT];
+            if last.as_deref().is_some_and(|k| k < e.key.as_slice()) {
+                find_preds_from(pool, &finger, &e.key, max_seq, &mut preds);
+                #[cfg(debug_assertions)]
+                node::debug_assert_preds(pool, self.head, &e.key, max_seq, &preds);
+            } else {
+                find_preds(pool, self.head, &e.key, max_seq, &mut preds);
+            }
+            self.apply_at(&mut preds, &e.key, &e.value, e.seq, e.kind)?;
+            finger = preds;
+            last = Some(e.key);
+        }
+        Ok(())
+    }
+
+    /// Applies one entry at the position whose predecessors are `preds`
+    /// (the update vector of `(key, MAX_SEQUENCE_NUMBER)`). On return
+    /// `preds` is an update vector for a position before every later key,
+    /// a valid finger for the next entry: the inserted node, if any,
+    /// replaces the predecessors on its levels.
+    fn apply_at(
+        &self,
+        preds: &mut [u64; MAX_HEIGHT],
+        key: &[u8],
+        value: &[u8],
+        seq: SequenceNumber,
+        kind: OpKind,
+    ) -> Result<ApplyOutcome> {
+        let pool = &*self.pool;
+        let existing = raw::next(pool, preds[0], 0);
         let existing = if existing != 0 && raw::key(pool, existing) == key {
             existing
         } else {
@@ -269,7 +320,7 @@ impl GrowableSkipList {
                 return Ok(ApplyOutcome::DeletedAbsent);
             }
             let removed_bytes = (raw::klen(pool, existing) + raw::vlen(pool, existing)) as u64;
-            self.unlink_chain(&preds, existing, key);
+            self.unlink_chain(preds, existing, key);
             self.len.fetch_sub(1, Ordering::Release);
             self.data_bytes.fetch_sub(removed_bytes, Ordering::Release);
             return Ok(ApplyOutcome::Deleted);
@@ -302,7 +353,7 @@ impl GrowableSkipList {
 
         let outcome = if existing != 0 {
             let old_bytes = (raw::klen(pool, existing) + raw::vlen(pool, existing)) as u64;
-            self.bypass_older(&preds, off, height, key);
+            self.bypass_older(preds, off, height, key);
             self.data_bytes.fetch_sub(old_bytes, Ordering::Release);
             ApplyOutcome::Updated
         } else {
@@ -311,6 +362,7 @@ impl GrowableSkipList {
         };
         self.data_bytes
             .fetch_add((key.len() + value.len()) as u64, Ordering::Release);
+        preds[..height].fill(off);
         Ok(outcome)
     }
 
@@ -499,6 +551,103 @@ mod tests {
         assert!(pool.used_bytes() > before);
         r.release();
         assert_eq!(pool.used_bytes(), before);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Applies a sorted run entry by entry, as `apply_run` does, and
+        /// checks every finger search against a head descent on every
+        /// level. The finger then comes from every outcome: an insert, an
+        /// update that bypassed the old version, a tombstone that unlinked
+        /// the key, a tombstone for an absent key and a superseded entry.
+        /// Fixed keys (`x`..`z` suffixes) guarantee the rarer outcomes in
+        /// every case.
+        #[test]
+        fn apply_run_finger_matches_head_descent(
+            prefill in proptest::collection::vec((0u16..64, 0u64..1000, proptest::prelude::any::<bool>()), 0..200),
+            run in proptest::collection::vec((0u16..64, 0u64..1000, 0u8..4), 1..120),
+            fixed in (0u16..64, 0u16..64, 0u16..64),
+        ) {
+            let r = repo();
+            let pool = &*r.pool;
+            let key = |k: u16, suffix: &str| format!("k{k:03}{suffix}").into_bytes();
+            for (i, &(k, s, put)) in prefill.iter().enumerate() {
+                let kind = if put { OpKind::Put } else { OpKind::Delete };
+                r.apply(&key(k, ""), b"pre", s << 20 | i as u64, kind).unwrap();
+            }
+            // Updated, Deleted and Superseded, whatever the random part does.
+            r.apply(&key(fixed.0, "x"), b"old", 1, OpKind::Put).unwrap();
+            r.apply(&key(fixed.1, "y"), b"old", 1, OpKind::Put).unwrap();
+            r.apply(&key(fixed.2, "z"), b"new", u64::MAX >> 1, OpKind::Put).unwrap();
+            let mut entries: Vec<(Vec<u8>, u64, OpKind)> = run
+                .iter()
+                .enumerate()
+                .map(|(i, &(k, s, kind))| {
+                    let kind = if kind == 0 { OpKind::Delete } else { OpKind::Put };
+                    (key(k, ""), s << 20 | 1 << 19 | i as u64, kind)
+                })
+                .collect();
+            entries.push((key(fixed.0, "x"), 2, OpKind::Put));
+            entries.push((key(fixed.1, "y"), 2, OpKind::Delete));
+            entries.push((key(fixed.2, "z"), 2, OpKind::Put));
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            entries.dedup_by(|a, b| a.0 == b.0);
+
+            let max_seq = miodb_common::MAX_SEQUENCE_NUMBER;
+            let mut finger: Option<[u64; MAX_HEIGHT]> = None;
+            let mut seen = Vec::new();
+            for (k, seq, kind) in &entries {
+                let mut preds = [0u64; MAX_HEIGHT];
+                find_preds(pool, r.head, k, max_seq, &mut preds);
+                if let Some(finger) = &finger {
+                    let mut got = [0u64; MAX_HEIGHT];
+                    find_preds_from(pool, finger, k, max_seq, &mut got);
+                    proptest::prop_assert_eq!(got, preds);
+                }
+                seen.push(r.apply_at(&mut preds, k, b"run", *seq, *kind).unwrap());
+                finger = Some(preds);
+            }
+            for outcome in [ApplyOutcome::Updated, ApplyOutcome::Deleted, ApplyOutcome::Superseded] {
+                proptest::prop_assert!(seen.contains(&outcome), "{:?} never happened", outcome);
+            }
+        }
+    }
+
+    #[test]
+    fn apply_run_matches_per_entry_apply() {
+        let (by_run, by_entry) = (repo(), repo());
+        for r in [&by_run, &by_entry] {
+            for i in (0..300u64).step_by(3) {
+                r.apply(format!("k{i:04}").as_bytes(), b"old", i + 1, OpKind::Put)
+                    .unwrap();
+            }
+        }
+        let run: Vec<OwnedEntry> = (0..300u64)
+            .map(|i| OwnedEntry {
+                key: format!("k{i:04}").into_bytes(),
+                value: format!("new{i}").into_bytes(),
+                seq: 1000 + i,
+                kind: if i % 7 == 0 {
+                    OpKind::Delete
+                } else {
+                    OpKind::Put
+                },
+            })
+            .collect();
+        by_run.apply_run(run.clone()).unwrap();
+        for e in &run {
+            by_entry.apply(&e.key, &e.value, e.seq, e.kind).unwrap();
+        }
+        let dump = |r: &GrowableSkipList| -> Vec<(Vec<u8>, Vec<u8>, u64)> {
+            r.list().iter().map(|e| (e.key, e.value, e.seq)).collect()
+        };
+        assert_eq!(dump(&by_run), dump(&by_entry));
+        assert_eq!(by_run.len(), by_entry.len());
+        assert_eq!(by_run.data_bytes(), by_entry.data_bytes());
+        // Out-of-order keys fall back to head descents.
+        by_run.apply_run(run.into_iter().rev()).unwrap();
+        assert_eq!(dump(&by_run), dump(&by_entry));
     }
 
     #[test]

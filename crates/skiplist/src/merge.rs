@@ -31,10 +31,10 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use miodb_common::{Result, SequenceNumber};
+use miodb_common::Result;
 use miodb_pmem::{PmemPool, PmemRegion};
 
-use crate::node::{raw, LookupResult, MAX_HEIGHT};
+use crate::node::{find_preds, find_preds_from, raw, LookupResult, MAX_HEIGHT};
 
 /// Merge progress phase, persisted in the low bits of the mark word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,6 +237,12 @@ struct Ctx<'a> {
     stats: MergeStats,
     abandon_after: Option<u64>,
     abandoned: bool,
+    /// Update vector of the oldtable position just after the previous
+    /// step's node (see [`crate::node::find_preds_from`]). Newtable nodes
+    /// arrive in ascending order, so each splice searches forward from
+    /// here instead of from the head. `None` until the first splice of a
+    /// [`zero_copy_merge`] call, which descends from the head.
+    finger: Option<[u64; MAX_HEIGHT]>,
 }
 
 impl<'a> Ctx<'a> {
@@ -255,26 +261,12 @@ impl<'a> Ctx<'a> {
         true
     }
 
-    fn find_preds(
-        &self,
-        head: u64,
-        key: &[u8],
-        seq: SequenceNumber,
-        preds: &mut [u64; MAX_HEIGHT],
-    ) {
-        crate::node::find_preds(self.pool, head, key, seq, preds);
-    }
-
-    /// Unlinks `node` from the list rooted at `head` if present. Idempotent.
+    /// Unlinks `node` given its predecessor on every level, top-down, on
+    /// each level where it is still linked. Idempotent.
     #[must_use]
-    fn unlink(&mut self, head: u64, node: u64) -> bool {
+    fn unlink_at(&mut self, preds: &[u64; MAX_HEIGHT], node: u64) -> bool {
         let pool = self.pool;
-        let key = raw::key(pool, node).to_vec();
-        let seq = raw::seq(pool, node);
-        let height = raw::height(pool, node);
-        let mut preds = [0u64; MAX_HEIGHT];
-        self.find_preds(head, &key, seq, &mut preds);
-        for level in (0..height).rev() {
+        for level in (0..raw::height(pool, node)).rev() {
             if raw::next(pool, preds[level], level) == node {
                 let succ = raw::next(pool, node, level);
                 if !self.store_link(preds[level], level, succ) {
@@ -291,16 +283,26 @@ impl<'a> Ctx<'a> {
     #[must_use]
     fn splice(&mut self, old_head: u64, node: u64) -> bool {
         let pool = self.pool;
-        let key = raw::key(pool, node).to_vec();
+        let key = raw::key(pool, node);
         let seq = raw::seq(pool, node);
         let height = raw::height(pool, node);
         let mut preds = [0u64; MAX_HEIGHT];
-        self.find_preds(old_head, &key, seq, &mut preds);
+        match &self.finger {
+            Some(finger) => {
+                find_preds_from(pool, finger, key, seq, &mut preds);
+                #[cfg(debug_assertions)]
+                crate::node::debug_assert_preds(pool, old_head, key, seq, &preds);
+            }
+            None => {
+                find_preds(pool, old_head, key, seq, &mut preds);
+            }
+        }
 
         // A same-key predecessor is necessarily newer (multi-version order):
         // the incoming node is superseded and dropped.
-        if preds[0] != old_head && raw::key(pool, preds[0]) == key.as_slice() {
+        if preds[0] != old_head && raw::key(pool, preds[0]) == key {
             self.stats.dropped_new += 1;
+            self.finger = Some(preds);
             return true;
         }
 
@@ -313,7 +315,7 @@ impl<'a> Ctx<'a> {
                 s = raw::next(pool, s, 0);
                 continue;
             }
-            if raw::key(pool, s) != key.as_slice() {
+            if raw::key(pool, s) != key {
                 break;
             }
             raw::charge_visit(pool);
@@ -355,6 +357,8 @@ impl<'a> Ctx<'a> {
             }
         }
         self.stats.moved += 1;
+        preds[..height].fill(node);
+        self.finger = Some(preds);
         true
     }
 }
@@ -377,17 +381,14 @@ pub fn zero_copy_merge(
         stats: MergeStats::default(),
         abandon_after: limits.abandon_after_link_writes,
         abandoned: false,
+        finger: None,
     };
 
-    // Crash-recovery prelude: finish the marked node's step.
+    // Crash-recovery prelude: finish the marked node's step. Its splice
+    // descends from the head (the finger starts empty).
     if let Some((node, phase)) = mark.load() {
         if phase == MergePhase::Unlink {
-            // Older duplicates of the marked node may still sit at the
-            // newtable front; drop them first, then unlink the node itself.
-            if !drop_front_duplicates(&mut ctx, new_head, node) {
-                return MergeOutcome::Paused(ctx.stats);
-            }
-            if !ctx.unlink(new_head, node) {
+            if !unlink_front_run(&mut ctx, new_head, node) {
                 return MergeOutcome::Paused(ctx.stats);
             }
             mark.set(node, MergePhase::Splice);
@@ -410,10 +411,7 @@ pub fn zero_copy_merge(
             return MergeOutcome::Complete(ctx.stats);
         }
         mark.set(first, MergePhase::Unlink);
-        if !drop_front_duplicates(&mut ctx, new_head, first) {
-            return MergeOutcome::Paused(ctx.stats);
-        }
-        if !ctx.unlink(new_head, first) {
+        if !unlink_front_run(&mut ctx, new_head, first) {
             return MergeOutcome::Paused(ctx.stats);
         }
         mark.set(first, MergePhase::Splice);
@@ -504,29 +502,43 @@ pub fn get_skip_marked(
     None
 }
 
-/// Unlinks and drops every node after `first` at the newtable front that
-/// shares its key (they are older versions, superseded by `first`). The
-/// older duplicates are removed *before* `first` so that a concurrent
-/// reader searching newtable→mark→oldtable always finds the newest version
-/// first. Returns false if the crash limit fired.
+/// Removes the newtable's front run of versions: unlinks and drops every
+/// node after `first` that shares its key (older versions, superseded by
+/// `first`), then unlinks `first`. The older duplicates go *before* `first`
+/// so that a concurrent reader searching newtable→mark→oldtable always
+/// finds the newest version first.
+///
+/// No search is needed: `first` is the front node, so the head precedes it
+/// on every level, and each duplicate, removed in order, is preceded by
+/// `first` on `first`'s levels and by the head above. This also holds when
+/// resuming after a crash: the marked node stays the front node from the
+/// moment it is marked until its unlink completes, and every unlink is
+/// idempotent. Returns false if the crash limit fired.
 #[must_use]
-fn drop_front_duplicates(ctx: &mut Ctx<'_>, new_head: u64, first: u64) -> bool {
+fn unlink_front_run(ctx: &mut Ctx<'_>, new_head: u64, first: u64) -> bool {
     let pool = ctx.pool;
-    let key = raw::key(pool, first).to_vec();
+    let key = raw::key(pool, first);
     let mut dups = Vec::new();
     let mut cur = raw::next(pool, first, 0);
-    while cur != 0 && raw::key(pool, cur) == key.as_slice() {
+    while cur != 0 && raw::key(pool, cur) == key {
         raw::charge_visit(pool);
         dups.push(cur);
         cur = raw::next(pool, cur, 0);
     }
+    let mut preds = [new_head; MAX_HEIGHT];
+    preds[..raw::height(pool, first)].fill(first);
     for d in dups {
-        if !ctx.unlink(new_head, d) {
+        #[cfg(debug_assertions)]
+        crate::node::debug_assert_preds(pool, new_head, key, raw::seq(pool, d), &preds);
+        if !ctx.unlink_at(&preds, d) {
             return false;
         }
         ctx.stats.dropped_new += 1;
     }
-    true
+    let preds = [new_head; MAX_HEIGHT];
+    #[cfg(debug_assertions)]
+    crate::node::debug_assert_preds(pool, new_head, key, raw::seq(pool, first), &preds);
+    ctx.unlink_at(&preds, first)
 }
 
 #[cfg(test)]
@@ -534,6 +546,7 @@ mod tests {
     use super::*;
     use crate::node::SkipList;
     use crate::SkipListArena;
+    use miodb_common::types::mv_cmp;
     use miodb_common::{OpKind, Stats};
     use miodb_pmem::{DeviceModel, PmemPool};
 
@@ -902,6 +915,85 @@ mod tests {
             if out.is_complete() {
                 break; // later crash points are no-ops
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Runs the merge step by step and, before every splice after the
+        /// first, checks the finger search against a head descent on every
+        /// level. The finger then comes from each kind of step: a move, a
+        /// drop of a superseded node, a move that bypassed older oldtable
+        /// versions, and a move after dropping newtable duplicates. Fixed
+        /// keys (`x` and `y` suffixes) guarantee a drop and a bypass per case.
+        #[test]
+        fn splice_finger_matches_head_descent(
+            old_ops in proptest::collection::vec((0u16..48, 0u64..1000), 1..150),
+            new_ops in proptest::collection::vec((0u16..48, 0u64..1000), 1..150),
+            fixed in (0u16..48, 0u16..48),
+        ) {
+            let p = pool();
+            let key = |k: u16, suffix: &str| format!("k{k:03}{suffix}").into_bytes();
+            // Unique seqs: a random high part, the table and the index.
+            let mut old_entries: Vec<(Vec<u8>, u64)> = old_ops
+                .iter()
+                .enumerate()
+                .map(|(i, &(k, s))| (key(k, ""), s << 20 | i as u64))
+                .collect();
+            let mut new_entries: Vec<(Vec<u8>, u64)> = new_ops
+                .iter()
+                .enumerate()
+                .map(|(i, &(k, s))| (key(k, ""), s << 20 | 1 << 19 | i as u64))
+                .collect();
+            // Dropped: the oldtable's version is newer.
+            old_entries.push((key(fixed.0, "x"), 1 << 40));
+            new_entries.push((key(fixed.0, "x"), 1));
+            // Bypassed: two older oldtable versions.
+            old_entries.push((key(fixed.1, "y"), 1));
+            old_entries.push((key(fixed.1, "y"), 2));
+            new_entries.push((key(fixed.1, "y"), 1 << 40));
+            let refs = |v: &[(Vec<u8>, u64)]| -> SkipListArena {
+                let t = SkipListArena::new(p.clone(), 1 << 20).unwrap();
+                for (k, s) in v {
+                    t.insert(k, b"v", *s, OpKind::Put).unwrap();
+                }
+                t
+            };
+            let (new, old) = (refs(&new_entries), refs(&old_entries));
+            let (new_head, old_head) = (new.head(), old.head());
+
+            let mut ctx = Ctx {
+                pool: &p,
+                stats: MergeStats::default(),
+                abandon_after: None,
+                abandoned: false,
+                finger: None,
+            };
+            let mut splice_drops = 0;
+            loop {
+                let first = raw::next(&p, new_head, 0);
+                if first == 0 {
+                    break;
+                }
+                proptest::prop_assert!(unlink_front_run(&mut ctx, new_head, first));
+                if let Some(finger) = ctx.finger {
+                    let (k, s) = (raw::key(&p, first), raw::seq(&p, first));
+                    let mut want = [0u64; MAX_HEIGHT];
+                    find_preds(&p, old_head, k, s, &mut want);
+                    let mut got = [0u64; MAX_HEIGHT];
+                    find_preds_from(&p, &finger, k, s, &mut got);
+                    proptest::prop_assert_eq!(got, want);
+                }
+                let dropped = ctx.stats.dropped_new;
+                proptest::prop_assert!(ctx.splice(old_head, first));
+                splice_drops += ctx.stats.dropped_new - dropped;
+            }
+            proptest::prop_assert!(splice_drops >= 1);
+            proptest::prop_assert!(ctx.stats.bypassed_old >= 2);
+            proptest::prop_assert!(ctx.stats.moved >= 1);
+            let keys: Vec<(Vec<u8>, u64)> = merged_view(&p, &old).iter().map(|e| (e.key, e.seq)).collect();
+            proptest::prop_assert!(keys.windows(2).all(|w| mv_cmp(&w[0].0, w[0].1, &w[1].0, w[1].1).is_lt()));
         }
     }
 

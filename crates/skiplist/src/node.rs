@@ -176,32 +176,129 @@ pub(crate) fn find_preds(
     seq: SequenceNumber,
     preds: &mut [u64; MAX_HEIGHT],
 ) -> u64 {
-    let mut x = head;
     // A node peeked once is CPU-cache resident afterwards; count the
     // modeled NVM read only on first inspection (exact dedup — descents
     // touch a few dozen nodes, so a linear scan is cheap), and charge the
     // whole descent in one batched call (same modeled latency per visit,
     // one spin).
-    let mut seen: smallset::SmallSet = smallset::SmallSet::new();
-    for level in (0..MAX_HEIGHT).rev() {
+    let mut seen = smallset::SmallSet::new();
+    descend(
+        pool,
+        &[head; MAX_HEIGHT],
+        MAX_HEIGHT - 1,
+        key,
+        seq,
+        preds,
+        &mut seen,
+    );
+    pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
+    raw::next(pool, preds[0], 0)
+}
+
+/// Finger search: the same result as [`find_preds`], found by searching
+/// forward from `finger` instead of descending from the head.
+///
+/// `finger` must be the update vector of some multi-version position `p`
+/// at or before `(key, seq)` in the list as it is now: `finger[l]` is the
+/// last node strictly before `p` on level `l` (the head where there is
+/// none). [`find_preds`]'s result is such a vector, and so is one with a
+/// node just inserted at its position substituted on that node's levels.
+/// The search climbs from level 0 while the finger's successor on a level
+/// is still before the target, then walks down from there. Levels above
+/// the climb keep the finger: on them nothing lies between `p` and the
+/// target. Visits are charged like [`find_preds`]'s; the finger nodes
+/// themselves were inspected by the search that produced them.
+pub(crate) fn find_preds_from(
+    pool: &PmemPool,
+    finger: &[u64; MAX_HEIGHT],
+    key: &[u8],
+    seq: SequenceNumber,
+    preds: &mut [u64; MAX_HEIGHT],
+) -> u64 {
+    let mut seen = smallset::SmallSet::new();
+    let mut top = 0;
+    while top + 1 < MAX_HEIGHT
+        && before(pool, raw::next(pool, finger[top], top), key, seq, &mut seen)
+    {
+        top += 1;
+    }
+    preds[top + 1..].copy_from_slice(&finger[top + 1..]);
+    descend(pool, finger, top, key, seq, preds, &mut seen);
+    pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
+    raw::next(pool, preds[0], 0)
+}
+
+/// Returns `true` if `node` is a data node strictly before `(key, seq)`,
+/// recording it as visited.
+#[inline]
+fn before(
+    pool: &PmemPool,
+    node: u64,
+    key: &[u8],
+    seq: SequenceNumber,
+    seen: &mut smallset::SmallSet,
+) -> bool {
+    if node == 0 {
+        return false;
+    }
+    seen.insert(node);
+    mv_cmp(raw::key(pool, node), raw::seq(pool, node), key, seq) == std::cmp::Ordering::Less
+}
+
+/// Walks levels `top..=0`, starting at `start[top]`, to the last node
+/// strictly before `(key, seq)` on each level. A walk that has not left
+/// the start node of the level above switches to `start` of the level
+/// below, which lies at or after it when `start` is an update vector
+/// (for a head descent every entry is the head, so this is a no-op).
+/// A walk that has left it stands at or past the vector's position,
+/// hence after every lower start node.
+fn descend(
+    pool: &PmemPool,
+    start: &[u64; MAX_HEIGHT],
+    top: usize,
+    key: &[u8],
+    seq: SequenceNumber,
+    preds: &mut [u64; MAX_HEIGHT],
+    seen: &mut smallset::SmallSet,
+) {
+    let mut x = start[top];
+    for level in (0..=top).rev() {
+        if level < top && x == start[level + 1] {
+            x = start[level];
+        }
         loop {
             let nxt = raw::next(pool, x, level);
-            if nxt == 0 {
+            if !before(pool, nxt, key, seq, seen) {
                 break;
             }
-            seen.insert(nxt);
-            let nk = raw::key(pool, nxt);
-            let ns = raw::seq(pool, nxt);
-            if mv_cmp(nk, ns, key, seq) == std::cmp::Ordering::Less {
-                x = nxt;
-            } else {
-                break;
-            }
+            x = nxt;
         }
         preds[level] = x;
     }
-    pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
-    raw::next(pool, preds[0], 0)
+}
+
+/// Debug-build check that `preds` are exactly what a head descent finds,
+/// for callers of [`find_preds_from`] and of other shortcuts past the
+/// descent. The check descends without charging the device model.
+#[cfg(debug_assertions)]
+pub(crate) fn debug_assert_preds(
+    pool: &PmemPool,
+    head: u64,
+    key: &[u8],
+    seq: SequenceNumber,
+    preds: &[u64; MAX_HEIGHT],
+) {
+    let mut want = [0u64; MAX_HEIGHT];
+    descend(
+        pool,
+        &[head; MAX_HEIGHT],
+        MAX_HEIGHT - 1,
+        key,
+        seq,
+        &mut want,
+        &mut smallset::SmallSet::new(),
+    );
+    assert_eq!(preds, &want, "shortcut preds differ from a head descent");
 }
 
 /// A tiny inline set for deduplicating descent visits.
@@ -350,5 +447,62 @@ impl SkipList {
             cur = raw::next(pool, cur, 0);
         }
         n
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SkipListArena;
+    use miodb_common::Stats;
+    use miodb_pmem::DeviceModel;
+    use proptest::prelude::*;
+
+    fn key(k: u16) -> Vec<u8> {
+        format!("k{k:03}").into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// For ascending targets, a finger search from the previous
+        /// target's update vector — or from that vector with a node just
+        /// inserted at the target — finds exactly the predecessors of a
+        /// head descent, on every level. Lists hold up to ~10 versions per
+        /// key; targets fall before, between and after them (list seqs are
+        /// even, target seqs odd).
+        #[test]
+        fn finger_search_matches_head_descent(
+            keys in proptest::collection::vec(0u16..48, 1..400),
+            targets in proptest::collection::vec((0u16..56, 0u64..450), 1..80),
+            inserts in proptest::collection::vec(any::<bool>(), 80),
+        ) {
+            let pool = PmemPool::new(8 << 20, DeviceModel::dram(), Arc::new(Stats::new())).unwrap();
+            let list = SkipListArena::new(pool.clone(), 4 << 20).unwrap();
+            for (i, k) in keys.iter().enumerate() {
+                list.insert(&key(*k), b"v", 2 * (i as u64 + 1), OpKind::Put).unwrap();
+            }
+            let mut targets: Vec<(Vec<u8>, u64)> =
+                targets.iter().map(|&(k, s)| (key(k), 2 * s + 1)).collect();
+            targets.sort_by(|a, b| mv_cmp(&a.0, a.1, &b.0, b.1));
+            targets.dedup();
+
+            let head = list.head();
+            let mut finger = [head; MAX_HEIGHT];
+            for (i, (k, seq)) in targets.iter().enumerate() {
+                let mut want = [0u64; MAX_HEIGHT];
+                let want_next = find_preds(&pool, head, k, *seq, &mut want);
+                let mut got = [0u64; MAX_HEIGHT];
+                let got_next = find_preds_from(&pool, &finger, k, *seq, &mut got);
+                prop_assert_eq!(got, want, "target {} of {}", i, targets.len());
+                prop_assert_eq!(got_next, want_next);
+                finger = want;
+                if inserts[i] {
+                    list.insert(k, b"f", *seq, OpKind::Put).unwrap();
+                    let node = raw::next(&pool, want[0], 0);
+                    finger[..raw::height(&pool, node)].fill(node);
+                }
+            }
+        }
     }
 }
