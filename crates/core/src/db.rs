@@ -58,9 +58,9 @@ const MAX_GROUP_OPS: usize = 256;
 /// group payloads at 1 MB for the same latency-fairness reason).
 const MAX_GROUP_BYTES: u64 = 1 << 20;
 
-/// Extra MemTable capacity requested when a rotation is forced by a group
-/// (head node + allocator slack), mirroring the legacy batch path.
-const GROUP_ROTATE_SLACK: usize = 4096;
+/// MemTable capacity a commit-forced rotation asks for beyond the commit's
+/// worst-case need: the fresh table's head node plus allocator slack.
+const ROTATE_SLACK: u64 = 4096;
 
 /// Spin iterations before a group participant parks on the commit
 /// condvar. Group handoffs are sub-microsecond (the WAL append is the only
@@ -84,6 +84,31 @@ fn commit_spins() -> u32 {
     })
 }
 
+/// One operation of a commit, borrowing the caller's key and value.
+type Op<'a> = miodb_wal::GroupOp<'a>;
+
+/// Borrows owned `(key, value, kind)` triples as commit ops.
+fn borrow_ops(ops: &[(Vec<u8>, Vec<u8>, OpKind)]) -> impl Iterator<Item = Op<'_>> {
+    ops.iter().map(|(key, value, kind)| Op {
+        key,
+        value,
+        kind: *kind,
+    })
+}
+
+/// Indexes already-logged ops into `table` with consecutive sequence
+/// numbers from `seq_base`.
+fn insert_ops<'a>(
+    table: &MemTable,
+    ops: impl IntoIterator<Item = Op<'a>>,
+    seq_base: SequenceNumber,
+) -> Result<()> {
+    for (i, op) in ops.into_iter().enumerate() {
+        table.insert_concurrent(op.key, op.value, seq_base + i as u64, op.kind)?;
+    }
+    Ok(())
+}
+
 /// Commit-queue writer phases (see [`PendingWrite::phase`]).
 const PH_WAITING: u8 = 0;
 const PH_INSERT: u8 = 1;
@@ -98,10 +123,8 @@ const PH_DONE: u8 = 3;
 /// the result and pops it from the queue (`PH_DONE`).
 struct PendingWrite {
     ops: Vec<(Vec<u8>, Vec<u8>, OpKind)>,
-    /// Worst-case arena bytes for all ops (leader capacity reservation).
+    /// Worst-case arena bytes for all ops (group sealing bound).
     need: u64,
-    /// User key+value bytes (stats accounting, charged once per group).
-    user_bytes: u64,
     phase: AtomicU8,
     /// First sequence number of this writer's dense range, set by the
     /// leader before `PH_INSERT`.
@@ -485,10 +508,11 @@ impl MioDb {
             inner,
         };
 
-        // Replay WALs from the recovered state through the normal write
-        // machinery (records carry their original sequence numbers). The
-        // chain walk finds segments allocated after the manifest's last
-        // store, so no acknowledged write or sequence number is lost.
+        // Replay WALs from the recovered state through the commit routine,
+        // one record at a time (records carry their original sequence
+        // numbers). The chain walk finds segments allocated after the
+        // manifest's last store, so no acknowledged write or sequence
+        // number is lost.
         let mut records = Vec::new();
         let mut reclaim: Vec<PmemRegion> = Vec::new();
         for segs in &wal_replays {
@@ -502,10 +526,9 @@ impl MioDb {
         db.inner
             .recovered_wal_records
             .store(records.len() as u64, Ordering::Relaxed);
-        let guard = db.inner.write_mutex.lock();
+        let mut guard = db.inner.write_mutex.lock();
         for r in &records {
-            db.inner.seq.fetch_max(r.seq, Ordering::Relaxed);
-            db.insert_locked(&r.key, &r.value, r.seq, r.kind)?;
+            db.apply_records(&mut guard, std::slice::from_ref(r))?;
         }
         drop(guard);
         for region in reclaim {
@@ -578,25 +601,8 @@ impl MioDb {
     }
 
     fn write(&self, key: &[u8], value: &[u8], kind: OpKind) -> Result<()> {
-        self.check_usable()?;
         let t0 = Instant::now();
-        let r = if self.inner.opts.write_pipeline {
-            if key.len() > u32::MAX as usize || value.len() > u32::MAX as usize {
-                return Err(Error::InvalidArgument("key/value too large".to_string()));
-            }
-            match self.try_write_uncontended(key, value, kind) {
-                Some(r) => r,
-                None => self.write_grouped(vec![(key.to_vec(), value.to_vec(), kind)]),
-            }
-        } else {
-            let guard = self.inner.write_mutex.lock();
-            Stats::add(
-                &self.inner.stats.user_bytes_written,
-                (key.len() + value.len()) as u64,
-            );
-            let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            self.insert_with_rotation(guard, key, value, seq, kind)
-        };
+        let r = self.commit(&[Op { key, value, kind }]);
         if r.is_ok() {
             let h = match kind {
                 OpKind::Put => &self.inner.telemetry.put_latency,
@@ -607,45 +613,137 @@ impl MioDb {
         r
     }
 
-    /// Uncontended fast path for the pipeline: with no writers queued and
-    /// the writer mutex immediately available, grouping can only add
-    /// overhead (allocation, key/value copies, queue churn), so the write
-    /// runs the legacy single-writer protocol — the same mutex, the same
-    /// WAL-then-insert order, so every pipeline invariant holds. Returns
-    /// `None` when contended; the caller falls back to the commit queue,
-    /// which is exactly the regime where grouping wins.
-    fn try_write_uncontended(&self, key: &[u8], value: &[u8], kind: OpKind) -> Option<Result<()>> {
-        if !self.inner.commit.queue.lock().is_empty() {
-            return None;
+    /// The one write entry point: a put, a delete and a [`WriteBatch`] are
+    /// all a commit of `ops` (non-empty) as one WAL record.
+    ///
+    /// With no writer queued and the writer mutex free, the caller leads a
+    /// group of one that skips the queue: it runs [`MioDb::apply_locked`]
+    /// directly on the borrowed ops — no allocation, no copies. Otherwise
+    /// it copies its ops into a [`PendingWrite`] and joins the commit
+    /// queue, which is exactly the regime where grouping wins. With
+    /// `write_pipeline` off (group cap 1) every commit is a group of one:
+    /// it waits for the writer mutex instead of queueing.
+    fn commit(&self, ops: &[Op<'_>]) -> Result<()> {
+        self.check_usable()?;
+        // Reject argument errors before queueing: a queued op can then
+        // only fail on systemic errors, which abort the whole group, never
+        // on per-op errors that would punish innocent group members.
+        if ops
+            .iter()
+            .any(|op| op.key.len() > u32::MAX as usize || op.value.len() > u32::MAX as usize)
+        {
+            return Err(Error::InvalidArgument("key/value too large".to_string()));
         }
-        let guard = self.inner.write_mutex.try_lock()?;
-        Stats::add(
-            &self.inner.stats.user_bytes_written,
-            (key.len() + value.len()) as u64,
-        );
-        self.inner.telemetry.write_group_size.record(1);
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        Some(self.insert_with_rotation(guard, key, value, seq, kind))
+        let inner = &*self.inner;
+        let solo = if !inner.opts.write_pipeline {
+            Some(inner.write_mutex.lock())
+        } else if inner.commit.queue.lock().is_empty() {
+            inner.write_mutex.try_lock()
+        } else {
+            None
+        };
+        if let Some(mut guard) = solo {
+            let seq_base = self.apply_locked(&mut guard, ops, None, |t, seq| {
+                insert_ops(t, ops.iter().copied(), seq)
+            })?;
+            drop(guard);
+            return self.repl_wait(seq_base + ops.len() as u64 - 1);
+        }
+        self.write_grouped(
+            ops.iter()
+                .map(|op| (op.key.to_vec(), op.value.to_vec(), op.kind))
+                .collect(),
+        )
+    }
+
+    /// The commit routine, and the only code that logs or publishes a
+    /// write. Every commit — a bypassing writer, a group leader, a
+    /// follower applying a shipped record, recovery replaying one — runs
+    /// it once, holding the writer mutex (`guard`):
+    ///
+    /// 1. rotates until the active MemTable has room for the worst-case
+    ///    size of every op (the threshold `SkipListArena::fits` uses);
+    /// 2. assigns consecutive sequence numbers: a fresh range for user
+    ///    writes (`seq_base = None`), or the given base for replicated and
+    ///    recovered records;
+    /// 3. encodes the commit **once** — `encode_record` for one op,
+    ///    `encode_group_record` otherwise — appends those bytes to the WAL
+    ///    and hands the same bytes to the replication sink;
+    /// 4. charges user-write stats, then runs `index` on the table and the
+    ///    sequence base to insert the ops (a group leader hands the inserts
+    ///    out to its members instead).
+    ///
+    /// Returns the sequence base.
+    fn apply_locked(
+        &self,
+        guard: &mut parking_lot::MutexGuard<'_, ()>,
+        ops: &[Op<'_>],
+        seq_base: Option<SequenceNumber>,
+        index: impl FnOnce(&Arc<MemTable>, SequenceNumber) -> Result<()>,
+    ) -> Result<SequenceNumber> {
+        let inner = &*self.inner;
+        let n = ops.len() as u64;
+        let need: u64 = ops
+            .iter()
+            .map(|op| miodb_skiplist::node_size_upper(op.key.len(), op.value.len()))
+            .sum();
+        // Reserve worst-case capacity up front so no insert can hit
+        // ArenaFull after the record is logged. The table handle must not
+        // outlive a failed check: holding it across the rotation would keep
+        // its refcount up while the flush worker waits for uniqueness.
+        let active = loop {
+            let active = inner.mem.read().active.clone();
+            if active.arena().remaining_bytes() >= need {
+                break active;
+            }
+            drop(active);
+            self.rotate_memtable(guard, need + ROTATE_SLACK)?;
+        };
+        let user_write = seq_base.is_none();
+        let seq_base = seq_base.unwrap_or_else(|| inner.seq.fetch_add(n, Ordering::Relaxed) + 1);
+        let seq_last = seq_base + n - 1;
+        let record = match ops {
+            [op] => miodb_wal::encode_record(op.key, op.value, seq_base, op.kind)?,
+            _ => miodb_wal::encode_group_record(ops, seq_base)?,
+        };
+        {
+            let mut wal_span = trace::span(SpanKind::WalAppend);
+            wal_span.annotate(n);
+            active.log(&record)?;
+        }
+        if inner.repl_armed.load(Ordering::Acquire) {
+            self.repl_publish(&record, seq_base, seq_last);
+        }
+        if user_write {
+            let user_bytes: u64 = ops
+                .iter()
+                .map(|op| (op.key.len() + op.value.len()) as u64)
+                .sum();
+            Stats::add(&inner.stats.user_bytes_written, user_bytes);
+            inner.telemetry.write_group_size.record(n);
+        } else {
+            // Replicated or recovered: advance the counter only once the
+            // record is logged, so a failed apply is shipped again.
+            inner.seq.fetch_max(seq_last, Ordering::Relaxed);
+        }
+        let mut insert_span = trace::span(SpanKind::MemtableInsert);
+        insert_span.annotate(n);
+        index(&active, seq_base)?;
+        Ok(seq_base)
     }
 
     /// The group-commit write path: enqueue on the commit queue, then
     /// either lead a group (if we reach the queue front) or follow (apply
     /// our MemTable inserts when the leader releases us).
-    ///
-    /// Callers must have validated op sizes: a `write_grouped` op can only
-    /// fail on systemic errors, which abort the whole group, never on
-    /// per-op argument errors that would punish innocent group members.
     fn write_grouped(&self, ops: Vec<(Vec<u8>, Vec<u8>, OpKind)>) -> Result<()> {
         let inner = &*self.inner;
         let need: u64 = ops
             .iter()
             .map(|(k, v, _)| miodb_skiplist::node_size_upper(k.len(), v.len()))
             .sum();
-        let user_bytes: u64 = ops.iter().map(|(k, v, _)| (k.len() + v.len()) as u64).sum();
         let w = Arc::new(PendingWrite {
             ops,
             need,
-            user_bytes,
             phase: AtomicU8::new(PH_WAITING),
             seq_base: AtomicU64::new(0),
             task: Mutex::new(None),
@@ -726,16 +824,8 @@ impl MioDb {
         // not a runtime condition a caller could handle.
         let task = w.task.lock().take().expect("insert phase without task");
         let seq_base = w.seq_base.load(Ordering::Acquire);
-        let mut insert_span = trace::span(SpanKind::MemtableInsert);
-        insert_span.annotate(w.ops.len() as u64);
-        for (i, (key, value, kind)) in w.ops.iter().enumerate() {
-            if let Err(e) = task
-                .table
-                .insert_concurrent(key, value, seq_base + i as u64, *kind)
-            {
-                *w.err.lock() = Some(e);
-                break;
-            }
+        if let Err(e) = insert_ops(&task.table, borrow_ops(&w.ops), seq_base) {
+            *w.err.lock() = Some(e);
         }
         w.phase.store(PH_INSERTED, Ordering::Release);
         if task.sync.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -746,15 +836,13 @@ impl MioDb {
         }
     }
 
-    /// Leads one write group: seals a queue prefix, reserves MemTable
-    /// capacity (rotating if needed), allocates one dense sequence range,
-    /// appends **one** combined WAL record, releases the members to insert
-    /// in parallel, drains them, and publishes the results.
+    /// Leads one write group: seals a queue prefix, commits it as **one**
+    /// record through [`MioDb::apply_locked`], releases the members to
+    /// insert in parallel, drains them, and publishes the results.
     ///
     /// The writer mutex is held from capacity reservation until the last
     /// member's insert lands, so rotation and snapshots never observe a
-    /// half-applied group — the same quiescence point the single-writer
-    /// path provides, now at group granularity.
+    /// half-applied group.
     fn lead_group(&self, lw: &Arc<PendingWrite>) {
         let inner = &*self.inner;
         // Seal the group: a prefix of the queue, bounded so one group
@@ -777,109 +865,15 @@ impl MioDb {
             g
         };
         debug_assert!(Arc::ptr_eq(&group[0], lw), "leader must be queue front");
-        let total_ops: u64 = group.iter().map(|w| w.ops.len() as u64).sum();
-        let total_need: u64 = group.iter().map(|w| w.need).sum();
-        let total_user: u64 = group.iter().map(|w| w.user_bytes).sum();
+        let gops: Vec<Op<'_>> = group.iter().flat_map(|w| borrow_ops(&w.ops)).collect();
 
-        let commit_res: Result<()> = (|| {
+        let commit_res = {
             let mut guard = inner.write_mutex.lock();
-            // Reserve worst-case capacity for the whole group up front so
-            // no member can hit ArenaFull mid-flight.
-            loop {
-                {
-                    let active = inner.mem.read().active.clone();
-                    if active.arena().remaining_bytes() >= total_need {
-                        break;
-                    }
-                }
-                self.rotate_memtable(Some(&mut guard), total_need as usize + GROUP_ROTATE_SLACK)?;
-            }
-            let active = inner.mem.read().active.clone();
-            // One dense sequence range, one combined WAL record: the
-            // group's single modeled NVM append.
-            let seq_base = inner.seq.fetch_add(total_ops, Ordering::Relaxed) + 1;
-            let mut gops = Vec::with_capacity(total_ops as usize);
-            for w in &group {
-                for (key, value, kind) in &w.ops {
-                    gops.push(miodb_wal::GroupOp {
-                        key,
-                        value,
-                        kind: *kind,
-                    });
-                }
-            }
-            {
-                let mut wal_span = trace::span(SpanKind::WalAppend);
-                wal_span.annotate(total_ops);
-                active.log_group(&gops, seq_base)?;
-            }
-            if inner.repl_armed.load(Ordering::Acquire) {
-                // Ship the group's combined record exactly as logged; each
-                // member waits for its own ack after release.
-                if let Ok(bytes) = miodb_wal::encode_group_record(&gops, seq_base) {
-                    self.repl_publish(&bytes, seq_base, seq_base + total_ops - 1);
-                }
-            }
-            Stats::add(&inner.stats.user_bytes_written, total_user);
-            inner.telemetry.write_group_size.record(total_ops);
-
-            // Hand out the insert tasks. With spare cores the members
-            // splice into the MemTable in parallel (the leader's own
-            // inserts run on this thread); without them — a single-core
-            // host — waking a follower just to insert costs two context
-            // switches per member, so the leader applies every member's
-            // ops itself and followers wake once, at completion.
-            let leader_applies = commit_spins() == 0;
-            let sync = Arc::new(GroupSync {
-                remaining: AtomicUsize::new(group.len()),
-            });
-            let mut next_seq = seq_base;
-            for w in &group {
-                w.seq_base.store(next_seq, Ordering::Relaxed);
-                next_seq += w.ops.len() as u64;
-                *w.task.lock() = Some(GroupTask {
-                    table: active.clone(),
-                    sync: sync.clone(),
-                });
-                if !leader_applies && !Arc::ptr_eq(w, lw) {
-                    w.phase.store(PH_INSERT, Ordering::Release);
-                }
-            }
-            if leader_applies {
-                for w in &group {
-                    self.run_group_insert(w);
-                }
-            } else {
-                if group.len() > 1 {
-                    drop(inner.commit.queue.lock());
-                    inner.commit.cv.notify_all();
-                }
-                self.run_group_insert(lw);
-            }
-
-            // Drain the group before releasing the writer mutex.
-            let mut spun = 0u32;
-            let spins = commit_spins();
-            while sync.remaining.load(Ordering::Acquire) > 0 {
-                if spun < spins {
-                    spun += 1;
-                    std::hint::spin_loop();
-                    continue;
-                }
-                if spun < spins + COMMIT_YIELDS {
-                    spun += 1;
-                    std::thread::yield_now();
-                    continue;
-                }
-                let mut q = inner.commit.queue.lock();
-                if sync.remaining.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                inner.commit.cv.wait_for(&mut q, Duration::from_micros(500));
-            }
-            drop(guard);
-            Ok(())
-        })();
+            self.apply_locked(&mut guard, &gops, None, |active, seq_base| {
+                self.run_group(lw, &group, active, seq_base);
+                Ok(())
+            })
+        };
 
         // Publish results, pop the group, promote the next leader.
         let mut q = inner.commit.queue.lock();
@@ -897,6 +891,73 @@ impl MioDb {
         inner.telemetry.set_commit_queue_depth(q.len() as u64);
         drop(q);
         inner.commit.cv.notify_all();
+    }
+
+    /// The group's insert step, run by its leader under the writer mutex
+    /// once the group record is logged: hands each member its sequence
+    /// range and the MemTable, and drains the group's inserts.
+    ///
+    /// With spare cores the members splice into the MemTable in parallel
+    /// (the leader's own inserts run on this thread); without them — a
+    /// single-core host — waking a follower just to insert costs two
+    /// context switches per member, so the leader applies every member's
+    /// ops itself and followers wake once, at completion.
+    fn run_group(
+        &self,
+        lw: &Arc<PendingWrite>,
+        group: &[Arc<PendingWrite>],
+        active: &Arc<MemTable>,
+        seq_base: SequenceNumber,
+    ) {
+        let inner = &*self.inner;
+        let leader_applies = commit_spins() == 0;
+        let sync = Arc::new(GroupSync {
+            remaining: AtomicUsize::new(group.len()),
+        });
+        let mut next_seq = seq_base;
+        for w in group {
+            w.seq_base.store(next_seq, Ordering::Relaxed);
+            next_seq += w.ops.len() as u64;
+            *w.task.lock() = Some(GroupTask {
+                table: active.clone(),
+                sync: sync.clone(),
+            });
+            if !leader_applies && !Arc::ptr_eq(w, lw) {
+                w.phase.store(PH_INSERT, Ordering::Release);
+            }
+        }
+        if leader_applies {
+            for w in group {
+                self.run_group_insert(w);
+            }
+        } else {
+            if group.len() > 1 {
+                drop(inner.commit.queue.lock());
+                inner.commit.cv.notify_all();
+            }
+            self.run_group_insert(lw);
+        }
+
+        // Drain the group before the caller releases the writer mutex.
+        let mut spun = 0u32;
+        let spins = commit_spins();
+        while sync.remaining.load(Ordering::Acquire) > 0 {
+            if spun < spins {
+                spun += 1;
+                std::hint::spin_loop();
+                continue;
+            }
+            if spun < spins + COMMIT_YIELDS {
+                spun += 1;
+                std::thread::yield_now();
+                continue;
+            }
+            let mut q = inner.commit.queue.lock();
+            if sync.remaining.load(Ordering::Acquire) == 0 {
+                break;
+            }
+            inner.commit.cv.wait_for(&mut q, Duration::from_micros(500));
+        }
     }
 
     /// Highest sequence number allocated so far (dense-sequence test
@@ -925,9 +986,10 @@ impl MioDb {
     }
 
     /// Applies records shipped from a replication leader, advancing the
-    /// local sequence counter to cover them. Records flow through the
-    /// normal MemTable insert (including the local WAL append), so a
-    /// follower crash replays them like its own writes.
+    /// local sequence counter to cover them. Each run of consecutive
+    /// sequence numbers — one shipped leader record — is one commit: one
+    /// all-or-nothing record in the local WAL, so a follower crash replays
+    /// a leader batch whole or not at all, like the leader's own replay.
     ///
     /// Callers must apply records in shipped (commit) order; sequence
     /// numbers already covered by `last_sequence` are the caller's
@@ -939,12 +1001,31 @@ impl MioDb {
     /// [`Error::Background`], capacity errors).
     pub fn apply_replicated(&self, records: &[miodb_wal::WalRecord]) -> Result<()> {
         self.check_usable()?;
-        let guard = self.inner.write_mutex.lock();
-        for r in records {
-            self.inner.seq.fetch_max(r.seq, Ordering::Relaxed);
-            self.insert_locked(&r.key, &r.value, r.seq, r.kind)?;
+        let mut guard = self.inner.write_mutex.lock();
+        for run in records.chunk_by(|a, b| b.seq == a.seq + 1) {
+            self.apply_records(&mut guard, run)?;
         }
-        drop(guard);
+        Ok(())
+    }
+
+    /// Commits already-sequenced records (consecutive sequence numbers from
+    /// `run[0].seq`) as one record, under the writer mutex.
+    fn apply_records(
+        &self,
+        guard: &mut parking_lot::MutexGuard<'_, ()>,
+        run: &[miodb_wal::WalRecord],
+    ) -> Result<()> {
+        let ops: Vec<Op<'_>> = run
+            .iter()
+            .map(|r| Op {
+                key: &r.key,
+                value: &r.value,
+                kind: r.kind,
+            })
+            .collect();
+        self.apply_locked(guard, &ops, Some(run[0].seq), |t, seq| {
+            insert_ops(t, ops.iter().copied(), seq)
+        })?;
         Ok(())
     }
 
@@ -1068,79 +1149,11 @@ impl MioDb {
                         break;
                     }
                 } else {
-                    self.rotate_memtable(Some(&mut guard), 0)?;
+                    self.rotate_memtable(&mut guard, 0)?;
                 }
             }
         }
         store_manifest(inner)
-    }
-
-    /// Insert assuming `write_mutex` is held by the caller (recovery path).
-    fn insert_locked(
-        &self,
-        key: &[u8],
-        value: &[u8],
-        seq: SequenceNumber,
-        kind: OpKind,
-    ) -> Result<()> {
-        let inner = &*self.inner;
-        loop {
-            // Scope the Arc clone to the attempt: holding it across the
-            // rotation wait would keep the table's refcount elevated while
-            // the flush worker spin-waits for uniqueness — a cycle that
-            // costs the full release timeout per rotation.
-            let r = {
-                let active = inner.mem.read().active.clone();
-                active.insert(key, value, seq, kind)
-            };
-            match r {
-                Ok(()) => return Ok(()),
-                Err(Error::ArenaFull) => self.rotate_memtable(None, min_capacity(key, value))?,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn insert_with_rotation(
-        &self,
-        mut guard: parking_lot::MutexGuard<'_, ()>,
-        key: &[u8],
-        value: &[u8],
-        seq: SequenceNumber,
-        kind: OpKind,
-    ) -> Result<()> {
-        let inner = &*self.inner;
-        loop {
-            // See `insert_locked` for why the clone must not outlive the
-            // attempt.
-            let r = {
-                let active = inner.mem.read().active.clone();
-                // Uncontended/legacy path: WAL append and skiplist splice
-                // happen inside `insert`, so the span covers both (the
-                // grouped path separates them).
-                let _insert_span = trace::span(SpanKind::MemtableInsert);
-                active.insert(key, value, seq, kind)
-            };
-            match r {
-                Ok(()) => {
-                    if inner.repl_armed.load(Ordering::Acquire) {
-                        // Re-encode the exact framed record the WAL holds
-                        // (the encoders are deterministic) and ship it;
-                        // the ack wait happens off the mutex.
-                        if let Ok(bytes) = miodb_wal::encode_record(key, value, seq, kind) {
-                            self.repl_publish(&bytes, seq, seq);
-                        }
-                        drop(guard);
-                        return self.repl_wait(seq);
-                    }
-                    return Ok(());
-                }
-                Err(Error::ArenaFull) => {
-                    self.rotate_memtable(Some(&mut guard), min_capacity(key, value))?
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Seals the active MemTable and installs a fresh one. If an immutable
@@ -1149,8 +1162,8 @@ impl MioDb {
     /// because one-piece flushing is a single memcpy).
     fn rotate_memtable(
         &self,
-        guard: Option<&mut parking_lot::MutexGuard<'_, ()>>,
-        min_capacity: usize,
+        guard: &mut parking_lot::MutexGuard<'_, ()>,
+        min_capacity: u64,
     ) -> Result<()> {
         let inner = &*self.inner;
         let t0 = Instant::now();
@@ -1160,32 +1173,20 @@ impl MioDb {
         // is blocked on. The annotation links the flush span this
         // rotation waits for (0 if none is in flight).
         let mut rotation_span = trace::span(SpanKind::RotationStall);
-        match guard {
-            Some(guard) => {
-                while inner.mem.read().imm.is_some() {
-                    if !stalled {
-                        stalled = true;
-                        inner.telemetry.stall_begin(StallKind::Interval);
-                        rotation_span.annotate(inner.telemetry.flush_span());
-                    }
-                    inner.imm_cv.wait_for(guard, Duration::from_millis(5));
-                    if inner.shutdown.load(Ordering::Acquire) {
-                        return Err(Error::Closed);
-                    }
-                    if let Some(msg) = inner.bg_error.lock().clone() {
-                        return Err(Error::Background(msg));
-                    }
-                }
+        // The wait releases the writer mutex, which the flush worker takes
+        // to notify `imm_cv` once the sealed table is flushed.
+        while inner.mem.read().imm.is_some() {
+            if !stalled {
+                stalled = true;
+                inner.telemetry.stall_begin(StallKind::Interval);
+                rotation_span.annotate(inner.telemetry.flush_span());
             }
-            None => {
-                while inner.mem.read().imm.is_some() {
-                    if !stalled {
-                        stalled = true;
-                        inner.telemetry.stall_begin(StallKind::Interval);
-                        rotation_span.annotate(inner.telemetry.flush_span());
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                }
+            inner.imm_cv.wait_for(guard, Duration::from_millis(5));
+            if inner.shutdown.load(Ordering::Acquire) {
+                return Err(Error::Closed);
+            }
+            if let Some(msg) = inner.bg_error.lock().clone() {
+                return Err(Error::Background(msg));
             }
         }
         if stalled {
@@ -1197,7 +1198,7 @@ impl MioDb {
         let fresh = Arc::new(MemTable::new(
             &inner.dram,
             &inner.nvm,
-            inner.opts.memtable_bytes.max(min_capacity),
+            inner.opts.memtable_bytes.max(min_capacity as usize),
             inner.opts.wal_segment_bytes,
             inner.opts.bloom_bits_per_key,
             inner.opts.bloom_expected_keys(),
@@ -2365,11 +2366,6 @@ impl MioDb {
     }
 }
 
-/// MemTable capacity guaranteed to accept the entry being written.
-fn min_capacity(key: &[u8], value: &[u8]) -> usize {
-    miodb_skiplist::SkipListArena::capacity_for_entry(key.len(), value.len())
-}
-
 /// Saturating nanosecond count of a duration, for histogram recording.
 fn dur_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
@@ -2440,9 +2436,9 @@ impl WriteBatch {
 }
 
 impl MioDb {
-    /// Applies a [`WriteBatch`]: one WAL record, consecutive sequence
-    /// numbers, all operations in one MemTable (rotating to a large-enough
-    /// MemTable first if needed).
+    /// Applies a [`WriteBatch`]: one commit — one WAL record, consecutive
+    /// sequence numbers, all operations in one MemTable (rotating to a
+    /// large-enough MemTable first if needed).
     ///
     /// # Errors
     ///
@@ -2452,80 +2448,8 @@ impl MioDb {
         if batch.ops.is_empty() {
             return Ok(());
         }
-        self.check_usable()?;
-        let inner = &*self.inner;
-        if inner.opts.write_pipeline {
-            for (k, v, _) in &batch.ops {
-                if k.len() > u32::MAX as usize || v.len() > u32::MAX as usize {
-                    return Err(Error::InvalidArgument("key/value too large".to_string()));
-                }
-            }
-            // Uncontended bypass, as in `write`: no queue, mutex free —
-            // the legacy batch protocol is strictly cheaper.
-            if inner.commit.queue.lock().is_empty() {
-                if let Some(guard) = inner.write_mutex.try_lock() {
-                    inner
-                        .telemetry
-                        .write_group_size
-                        .record(batch.ops.len() as u64);
-                    return self.write_batch_locked(guard, &batch.ops);
-                }
-            }
-            // A group record is all-or-nothing on replay — at least as
-            // strong as the legacy per-batch atomicity.
-            return self.write_grouped(batch.ops);
-        }
-        let guard = inner.write_mutex.lock();
-        self.write_batch_locked(guard, &batch.ops)
-    }
-
-    /// Applies a batch under an already-held writer mutex: one WAL record,
-    /// consecutive sequence numbers, rotating until the batch fits.
-    fn write_batch_locked(
-        &self,
-        mut guard: parking_lot::MutexGuard<'_, ()>,
-        ops: &[(Vec<u8>, Vec<u8>, OpKind)],
-    ) -> Result<()> {
-        let inner = &*self.inner;
-        let user_bytes: u64 = ops.iter().map(|(k, v, _)| (k.len() + v.len()) as u64).sum();
-        Stats::add(&inner.stats.user_bytes_written, user_bytes);
-        let n = ops.len() as u64;
-        let seq_base = inner.seq.fetch_add(n, Ordering::Relaxed) + 1;
-        let need: usize = ops
-            .iter()
-            .map(|(k, v, _)| miodb_skiplist::node_size_upper(k.len(), v.len()) as usize)
-            .sum::<usize>()
-            + 4096;
-        loop {
-            let r = {
-                let active = inner.mem.read().active.clone();
-                active.insert_batch(ops, seq_base)
-            };
-            match r {
-                Ok(()) => {
-                    if inner.repl_armed.load(Ordering::Acquire) {
-                        let gops: Vec<miodb_wal::GroupOp<'_>> = ops
-                            .iter()
-                            .map(|(key, value, kind)| miodb_wal::GroupOp {
-                                key,
-                                value,
-                                kind: *kind,
-                            })
-                            .collect();
-                        if let Ok(bytes) = miodb_wal::encode_group_record(&gops, seq_base) {
-                            self.repl_publish(&bytes, seq_base, seq_base + n - 1);
-                        }
-                        drop(guard);
-                        return self.repl_wait(seq_base + n - 1);
-                    }
-                    return Ok(());
-                }
-                Err(Error::ArenaFull) => {
-                    self.rotate_memtable(Some(&mut guard), need)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let ops: Vec<Op<'_>> = borrow_ops(&batch.ops).collect();
+        self.commit(&ops)
     }
 }
 

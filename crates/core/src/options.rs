@@ -61,8 +61,10 @@ pub struct MioOptions {
     /// Group-commit write pipeline: concurrent writers enqueue on a commit
     /// queue, a leader coalesces the queue into one WAL record, and group
     /// members insert into the MemTable in parallel (CAS skip-list
-    /// splicing). Disabling falls back to the legacy single-writer path
-    /// where every put serializes on the writer mutex.
+    /// splicing). Disabling sets the group cap to 1: every put, delete or
+    /// batch waits for the writer mutex and commits alone, one WAL record
+    /// per caller, through the same commit routine — the group-commit
+    /// ablation of `repro scaling`.
     pub write_pipeline: bool,
     /// Engine name for reports.
     pub name: String,

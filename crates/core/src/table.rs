@@ -106,75 +106,16 @@ impl MemTable {
         })
     }
 
-    /// Logs and inserts one entry. Writers must be serialized by the
-    /// caller.
+    /// Appends one encoded commit record to this MemTable's WAL — the
+    /// commit's single modeled NVM append. Indexing happens afterwards via
+    /// [`MemTable::insert_concurrent`].
     ///
     /// # Errors
     ///
-    /// Returns [`miodb_common::Error::ArenaFull`] when the MemTable must be
-    /// rotated; the WAL record for the failed insert is harmless (its
-    /// sequence number is simply replayed into the next MemTable on
-    /// recovery — same value, same outcome).
-    pub fn insert(
-        &self,
-        key: &[u8],
-        value: &[u8],
-        seq: SequenceNumber,
-        kind: OpKind,
-    ) -> Result<()> {
-        if !self.arena.fits(key.len(), value.len()) {
-            return Err(miodb_common::Error::ArenaFull);
-        }
-        self.wal.append(key, value, seq, kind)?;
-        self.arena.insert(key, value, seq, kind)?;
-        self.bloom.lock().insert(key);
-        Ok(())
-    }
-
-    /// Logs and inserts a whole batch with consecutive sequence numbers
-    /// starting at `seq_base`, framed as a single WAL record so replay is
-    /// all-or-nothing. Writers must be serialized by the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`miodb_common::Error::ArenaFull`] (before logging anything)
-    /// when the batch does not fit — the caller must rotate to a MemTable
-    /// large enough for the whole batch.
-    pub fn insert_batch(
-        &self,
-        entries: &[(Vec<u8>, Vec<u8>, OpKind)],
-        seq_base: SequenceNumber,
-    ) -> Result<()> {
-        let need: u64 = entries
-            .iter()
-            .map(|(k, v, _)| miodb_skiplist::node_size_upper(k.len(), v.len()))
-            .sum();
-        if need > self.arena.remaining_bytes() {
-            return Err(miodb_common::Error::ArenaFull);
-        }
-        self.wal.append_batch(entries, seq_base)?;
-        let mut bloom = self.bloom.lock();
-        for (i, (key, value, kind)) in entries.iter().enumerate() {
-            self.arena.insert(key, value, seq_base + i as u64, *kind)?;
-            bloom.insert(key);
-        }
-        Ok(())
-    }
-
-    /// Logs a whole write group as **one** WAL record with consecutive
-    /// sequence numbers from `seq_base` — the group leader's single
-    /// modeled NVM append on behalf of every writer in the group. Indexing
-    /// happens afterwards via [`MemTable::insert_concurrent`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates WAL allocation failures; nothing is logged on error.
-    pub fn log_group(
-        &self,
-        ops: &[miodb_wal::GroupOp<'_>],
-        seq_base: SequenceNumber,
-    ) -> Result<()> {
-        self.wal.append_group(ops, seq_base)
+    /// Propagates WAL allocation and injected-fault failures; nothing is
+    /// logged on error.
+    pub fn log(&self, record: &[u8]) -> Result<()> {
+        self.wal.append_encoded(record)
     }
 
     /// Inserts one already-logged entry concurrently with other group
@@ -184,8 +125,8 @@ impl MemTable {
     /// # Errors
     ///
     /// Returns [`miodb_common::Error::ArenaFull`] if the arena cannot fit
-    /// the node — the group leader reserves worst-case capacity up front,
-    /// so this indicates a leader bug, but it is handled gracefully.
+    /// the node — the commit reserves worst-case capacity up front, so
+    /// this indicates an engine bug, but it is handled gracefully.
     pub fn insert_concurrent(
         &self,
         key: &[u8],
@@ -239,11 +180,18 @@ mod tests {
         )
     }
 
+    /// Logs and indexes one put, the way a one-op commit does.
+    fn put(m: &MemTable, key: &[u8], value: &[u8], seq: SequenceNumber) {
+        m.log(&miodb_wal::encode_record(key, value, seq, OpKind::Put).unwrap())
+            .unwrap();
+        m.insert_concurrent(key, value, seq, OpKind::Put).unwrap();
+    }
+
     #[test]
     fn memtable_logs_and_indexes() {
         let (dram, nvm) = pools();
         let m = MemTable::new(&dram, &nvm, 64 * 1024, 64 * 1024, 16, 1024).unwrap();
-        m.insert(b"k", b"v", 1, OpKind::Put).unwrap();
+        put(&m, b"k", b"v", 1);
         assert_eq!(m.list().get(b"k").unwrap().value, b"v");
         let replayed = miodb_wal::WriteAheadLog::replay(&nvm, &m.wal_segments()).unwrap();
         assert_eq!(replayed.len(), 1);
@@ -253,25 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn full_memtable_reports_before_logging() {
-        let (dram, nvm) = pools();
-        let m = MemTable::new(&dram, &nvm, 8 * 1024, 64 * 1024, 16, 1024).unwrap();
-        let big = vec![0u8; 4000];
-        m.insert(b"a", &big, 1, OpKind::Put).unwrap();
-        let err = m.insert(b"b", &big, 2, OpKind::Put).unwrap_err();
-        assert!(matches!(err, miodb_common::Error::ArenaFull));
-        // The rejected insert must not have reached the WAL.
-        let replayed = miodb_wal::WriteAheadLog::replay(&nvm, &m.wal_segments()).unwrap();
-        assert_eq!(replayed.len(), 1);
-    }
-
-    #[test]
     fn release_frees_both_pools() {
         let (dram, nvm) = pools();
         let d0 = dram.used_bytes();
         let n0 = nvm.used_bytes();
         let m = MemTable::new(&dram, &nvm, 64 * 1024, 16 * 1024, 16, 1024).unwrap();
-        m.insert(b"k", b"v", 1, OpKind::Put).unwrap();
+        put(&m, b"k", b"v", 1);
         m.release();
         assert_eq!(dram.used_bytes(), d0);
         assert_eq!(nvm.used_bytes(), n0);

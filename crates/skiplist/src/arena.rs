@@ -15,8 +15,8 @@
 //! (`fetch_add`) and link splicing a per-level compare-and-swap with
 //! retry, so the members of one write group can insert in parallel
 //! (RocksDB's `allow_concurrent_memtable_write`). The two insert paths
-//! must not run at the same time on one arena — the engine guarantees
-//! this by holding the writer mutex for the duration of a group.
+//! must not run at the same time on one arena; the MioDB engine indexes
+//! every MemTable write through `insert_concurrent`.
 //! Concurrent **readers** are safe at all times: nodes are fully written
 //! before the release/CAS that publishes them, and offsets are never
 //! reused within an arena so traversals cannot observe ABA.
@@ -530,6 +530,37 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, threads * per as usize, "level-0 chain lost nodes");
+    }
+
+    /// A lookup racing inserts of neighbouring keys still finds a version
+    /// its own thread inserted: an insert landing just after the lookup's
+    /// level-0 predecessor must not be taken for the answer.
+    #[test]
+    fn lookups_racing_neighbour_inserts_see_finished_inserts() {
+        let seq = AtomicU64::new(1);
+        for round in 0..2_000u64 {
+            let pool = PmemPool::new(128 << 10, DeviceModel::dram(), Arc::new(Stats::new()));
+            let t = SkipListArena::new(pool.unwrap(), 64 * 1024).unwrap();
+            let start = std::sync::Barrier::new(3);
+            std::thread::scope(|s| {
+                for tid in 0..3u64 {
+                    let (t, seq, start) = (&t, &seq, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..8u64 {
+                            let k = format!("key{:04}", (round * 7 + tid * 3 + i * 5) % 12);
+                            let sq = seq.fetch_add(1, Ordering::Relaxed);
+                            t.insert_concurrent(k.as_bytes(), b"v", sq, OpKind::Put)
+                                .unwrap();
+                            assert!(
+                                t.list().get(k.as_bytes()).is_some(),
+                                "round {round}: {k} invisible right after its insert"
+                            );
+                        }
+                    });
+                }
+            });
+        }
     }
 
     #[test]

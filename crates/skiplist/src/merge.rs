@@ -431,6 +431,11 @@ pub fn zero_copy_merge(
 /// encountering it, the whole descent restarts from the head, where the
 /// unlink (which precedes the splice phase) has already bypassed it.
 ///
+/// A descent that overlapped a mark transition retries, with no bound:
+/// a bounded retry that fell through to `None` would let the caller read
+/// an older version from the oldtable. Retries stop once the merge pauses
+/// or finishes, since only a transition during the descent causes one.
+///
 /// Callers follow the full protocol: `get_skip_marked(new) -> mark.read ->
 /// old.get`, so the marked node itself is still found via the mark.
 pub fn get_skip_marked(
@@ -440,8 +445,14 @@ pub fn get_skip_marked(
 ) -> Option<LookupResult> {
     let pool = list.pool().clone();
     let head = list.head();
-    'attempt: for _ in 0..1024 {
-        let marked = mark.load().map(|(n, _)| n).unwrap_or(0);
+    'attempt: loop {
+        // Validated like a seqlock: a descent that overlapped any mark
+        // transition may have stood on a node that a merge step moved
+        // meanwhile, and followed its rewritten pointers into the
+        // oldtable (an ABA no per-step check sees). Such a descent
+        // retries.
+        let (word, steps) = (mark.load_raw(), mark.step_count());
+        let marked = word & !7;
         let mut x = head;
         let mut visits = 0u64;
         for level in (0..MAX_HEIGHT).rev() {
@@ -478,28 +489,25 @@ pub fn get_skip_marked(
         }
         let node = raw::next(&pool, x, 0);
         pool.charge_read_batch(visits, 32);
-        if node == 0 || node == marked {
+        if node != 0 && node == marked {
             // Defer the marked node to the mark-read step of the protocol.
-            if node != 0 {
-                continue 'attempt;
+            continue 'attempt;
+        }
+        // Node payloads are immutable, so reading before validating is safe.
+        let found = (node != 0 && raw::key(&pool, node) == key).then(|| {
+            let value = raw::value(&pool, node).to_vec();
+            pool.charge_read(value.len());
+            LookupResult {
+                value,
+                seq: raw::seq(&pool, node),
+                kind: raw::kind(&pool, node),
             }
-            return None;
-        }
-        if raw::key(&pool, node) != key {
-            return None;
-        }
-        let value = raw::value(&pool, node).to_vec();
-        pool.charge_read(value.len());
-        return Some(LookupResult {
-            value,
-            seq: raw::seq(&pool, node),
-            kind: raw::kind(&pool, node),
         });
+        if mark.load_raw() != word || mark.step_count() != steps {
+            continue 'attempt;
+        }
+        return found;
     }
-    // Practically unreachable (requires colliding with the in-flight node
-    // 1024 consecutive times); the caller's mark/oldtable steps still
-    // cover the marked node itself.
-    None
 }
 
 /// Removes the newtable's front run of versions: unlinks and drops every
@@ -1075,8 +1083,7 @@ mod tests {
                     let mut checked = 0u32;
                     while !done.load(AOrd::Acquire) || checked < 200 {
                         let key = format!("k{:04}", i % n);
-                        let found = new_view
-                            .get(key.as_bytes())
+                        let found = get_skip_marked(&new_view, key.as_bytes(), &mark)
                             .or_else(|| mark.read(key.as_bytes()))
                             .or_else(|| old_view.get(key.as_bytes()))
                             .unwrap_or_else(|| panic!("{key} invisible during merge"));

@@ -182,7 +182,7 @@ pub(crate) fn find_preds(
     // whole descent in one batched call (same modeled latency per visit,
     // one spin).
     let mut seen = smallset::SmallSet::new();
-    descend(
+    let succ = descend(
         pool,
         &[head; MAX_HEIGHT],
         MAX_HEIGHT - 1,
@@ -192,7 +192,7 @@ pub(crate) fn find_preds(
         &mut seen,
     );
     pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
-    raw::next(pool, preds[0], 0)
+    succ
 }
 
 /// Finger search: the same result as [`find_preds`], found by searching
@@ -223,9 +223,9 @@ pub(crate) fn find_preds_from(
         top += 1;
     }
     preds[top + 1..].copy_from_slice(&finger[top + 1..]);
-    descend(pool, finger, top, key, seq, preds, &mut seen);
+    let succ = descend(pool, finger, top, key, seq, preds, &mut seen);
     pool.charge_read_batch(seen.len() as u64, VISIT_BYTES);
-    raw::next(pool, preds[0], 0)
+    succ
 }
 
 /// Returns `true` if `node` is a data node strictly before `(key, seq)`,
@@ -252,6 +252,11 @@ fn before(
 /// (for a head descent every entry is the head, so this is a no-op).
 /// A walk that has left it stands at or past the vector's position,
 /// hence after every lower start node.
+///
+/// Returns the level-0 successor that ended the walk: the first node at or
+/// after `(key, seq)` (0 for none). Reading `preds[0]`'s successor again
+/// instead would race concurrent inserts, which can link a node still
+/// before the target right after `preds[0]`.
 fn descend(
     pool: &PmemPool,
     start: &[u64; MAX_HEIGHT],
@@ -260,14 +265,15 @@ fn descend(
     seq: SequenceNumber,
     preds: &mut [u64; MAX_HEIGHT],
     seen: &mut smallset::SmallSet,
-) {
+) -> u64 {
     let mut x = start[top];
+    let mut nxt = 0;
     for level in (0..=top).rev() {
         if level < top && x == start[level + 1] {
             x = start[level];
         }
         loop {
-            let nxt = raw::next(pool, x, level);
+            nxt = raw::next(pool, x, level);
             if !before(pool, nxt, key, seq, seen) {
                 break;
             }
@@ -275,6 +281,7 @@ fn descend(
         }
         preds[level] = x;
     }
+    nxt
 }
 
 /// Debug-build check that `preds` are exactly what a head descent finds,

@@ -275,38 +275,15 @@ impl WriteAheadLog {
         seq: SequenceNumber,
         kind: OpKind,
     ) -> Result<()> {
-        self.append_record(encode_record(key, value, seq, kind)?)
+        self.append_encoded(&encode_record(key, value, seq, kind)?)
     }
 
-    /// Appends a whole batch as **one** crc-framed record: after a crash,
-    /// either every operation of the batch replays or none does (the
-    /// durability half of LevelDB's `WriteBatch` semantics). Operations
-    /// receive consecutive sequence numbers starting at `seq_base`.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`WriteAheadLog::append`].
-    pub fn append_batch(
-        &self,
-        entries: &[(Vec<u8>, Vec<u8>, OpKind)],
-        seq_base: SequenceNumber,
-    ) -> Result<()> {
-        let ops: Vec<GroupOp<'_>> = entries
-            .iter()
-            .map(|(key, value, kind)| GroupOp {
-                key,
-                value,
-                kind: *kind,
-            })
-            .collect();
-        self.append_group(&ops, seq_base)
-    }
-
-    /// Appends a whole **write group** as one crc-framed record — the
-    /// group-commit fast path: one record header, one modeled NVM append
-    /// for every operation of every writer in the group. Operations
-    /// receive consecutive sequence numbers starting at `seq_base`, in
-    /// slice order, and replay all-or-nothing like a batch.
+    /// Appends a whole **write group** (or batch) as one crc-framed
+    /// record — one record header, one modeled NVM append for every
+    /// operation of every writer in the group. Operations receive
+    /// consecutive sequence numbers starting at `seq_base`, in slice
+    /// order. After a crash, either every operation replays or none does
+    /// (the durability half of LevelDB's `WriteBatch` semantics).
     ///
     /// The encode buffer is sized exactly from the group's byte length up
     /// front, so large groups never reallocate mid-encode.
@@ -319,12 +296,18 @@ impl WriteAheadLog {
         if buf.is_empty() {
             return Ok(());
         }
-        self.append_record(buf)
+        self.append_encoded(&buf)
     }
 
     /// Appends one fully framed record (`crc | len | payload`, crc already
-    /// patched by the encoder).
-    fn append_record(&self, buf: Vec<u8>) -> Result<()> {
+    /// patched by [`encode_record`] or [`encode_group_record`]). The engine
+    /// encodes each commit once and hands the same bytes to this append
+    /// and to replication.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`WriteAheadLog::append`].
+    pub fn append_encoded(&self, buf: &[u8]) -> Result<()> {
         if fault::hit(fault::points::WAL_APPEND_PRE_CRC).is_some() {
             // Injected fsync-style failure before persistence: nothing
             // reaches the log, the tail stays clean, and later appends may
@@ -378,7 +361,7 @@ impl WriteAheadLog {
             return Err(Error::Io(std::io::Error::other("injected torn wal append")));
         }
         s.cursor += total as u64;
-        self.pool.write_bytes(off, &buf);
+        self.pool.write_bytes(off, buf);
         Ok(())
     }
 
@@ -577,6 +560,14 @@ mod tests {
         .unwrap()
     }
 
+    fn op<'a>(key: &'a [u8], value: &'a [u8]) -> GroupOp<'a> {
+        GroupOp {
+            key,
+            value,
+            kind: OpKind::Put,
+        }
+    }
+
     #[test]
     fn append_replay_round_trip() {
         let p = pool();
@@ -658,11 +649,8 @@ mod tests {
         let start = wal.state.lock().cursor;
         // The final record is a group: torn-tail recovery must drop the
         // whole group, never a suffix of it.
-        let batch = vec![
-            (b"g1".to_vec(), b"vv1".to_vec(), OpKind::Put),
-            (b"g2".to_vec(), b"vv2".to_vec(), OpKind::Put),
-        ];
-        wal.append_batch(&batch, 3).unwrap();
+        wal.append_group(&[op(b"g1", b"vv1"), op(b"g2", b"vv2")], 3)
+            .unwrap();
         let end = wal.state.lock().cursor;
         let segs = wal.segments();
         let record_len = (end - start) as usize;
@@ -727,12 +715,13 @@ mod tests {
         let p = pool();
         let wal = WriteAheadLog::new(p.clone(), 64 * 1024).unwrap();
         wal.append(b"single1", b"v1", 1, OpKind::Put).unwrap();
-        let batch = vec![
-            (b"b1".to_vec(), b"v2".to_vec(), OpKind::Put),
-            (b"b2".to_vec(), Vec::new(), OpKind::Delete),
-            (b"b3".to_vec(), b"v4".to_vec(), OpKind::Put),
-        ];
-        wal.append_batch(&batch, 2).unwrap();
+        let tombstone = GroupOp {
+            key: b"b2",
+            value: b"",
+            kind: OpKind::Delete,
+        };
+        wal.append_group(&[op(b"b1", b"v2"), tombstone, op(b"b3", b"v4")], 2)
+            .unwrap();
         wal.append(b"single2", b"v5", 5, OpKind::Put).unwrap();
         let (records, _) = WriteAheadLog::replay_chain(&p, wal.segments()[0]).unwrap();
         assert_eq!(records.len(), 5);
@@ -795,11 +784,8 @@ mod tests {
         let p = pool();
         let wal = WriteAheadLog::new(p.clone(), 64 * 1024).unwrap();
         wal.append(b"before", b"v", 1, OpKind::Put).unwrap();
-        let batch = vec![
-            (b"b1".to_vec(), vec![1u8; 100], OpKind::Put),
-            (b"b2".to_vec(), vec![2u8; 100], OpKind::Put),
-        ];
-        wal.append_batch(&batch, 2).unwrap();
+        wal.append_group(&[op(b"b1", &[1u8; 100]), op(b"b2", &[2u8; 100])], 2)
+            .unwrap();
         // Corrupt one byte inside the batch payload: the whole batch must
         // vanish from replay (all-or-nothing durability).
         let seg = wal.segments()[0];

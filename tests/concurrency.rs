@@ -267,8 +267,9 @@ fn multi_writer_storm(pipeline: bool, seed: u64) {
     }
 }
 
-/// Runs under both the group-commit pipeline and the legacy single-writer
-/// path so the two stay behaviourally interchangeable. Formerly flaky at
+/// Runs with the group-commit pipeline on and off (group cap 1, every
+/// writer waits for the writer mutex) so the two stay behaviourally
+/// interchangeable. Formerly flaky at
 /// ~1/25 runs: `get` snapshotted a level's settled tables once, and a
 /// compactor popping those tables into `merging` mid-probe left the
 /// reader searching relinked lists without the mark protocol. Fixed by
